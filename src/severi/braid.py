@@ -25,12 +25,32 @@ U = (a^-1 - a)/z the value of the round circle, the state sum
 evaluates the HOMFLY polynomial normalized so that the unknot takes the
 value U.  Dividing out one factor of U gives the unknot = 1 form.
 
+The sum is not taken over the 2^N keep/remove choices one by one; it is
+evaluated as a label-arrangement DP (Jaeger's circuit-partition formula,
+F. Jaeger, Trans. AMS 323, 1991).  Once the permutation sigma of the
+kept letters is fixed, so is the order in which the trace runs its
+passes: along the cycles of sigma, each from its smallest unvisited top
+position, and b is the number of those cycles.  Whether a removed letter
+is admissible then depends only on which two passes meet at it.  A sweep
+from the top letter to the bottom one carries, for every arrangement of
+the passes over the positions, the number of partial partitions by
+(removed letters, parity of removed negative letters): a kept letter
+swaps two passes, a removed one lets them through only if the pass at
+the lower position is traced first (positive letter) or second
+(negative letter), and a path counts only if it ends with every pass
+where sigma sends it.  Arrangements from which the remaining letters can
+no longer reach that end are dropped, which bounds the number of
+states visited for N letters on n strands by O(N * min(2^N, (n!)^2)).
+The plain 2^N sum, tracing every partition on its own, is kept in
+tests/oracles.py as the independent reference.
+
 For positive words the lowest power of a comes exactly from partitions
 whose kept letters multiply to the identity permutation (b = n); with
 2r kept letters such a partition contributes z^(w-n-2r), so the lowest
 coefficient is sum_r #A(n,r) z^(w-n-2r) over the admissible counts.
-That fast path never builds a two-variable polynomial and the full sum
-never uses the pruning, so the two routes check each other.
+That fast path runs the sweep for sigma = identity alone, whose trace
+visits the strands in order, and never builds a two-variable
+polynomial.
 """
 
 from __future__ import annotations
@@ -255,56 +275,21 @@ def trace_encounters(p: CircuitPartition) -> tuple[tuple[int, int], ...]:
     return tuple(zip(first, second))
 
 
-def _scan(strands: int, letters, mask: int) -> tuple[bool, int]:
-    """One pass of the trace: (admissible, component count).
-
-    Aborts as soon as some removed letter is met in the wrong order, in
-    which case the component count is meaningless.
-    """
-    n_letters = len(letters)
-    first = [0] * n_letters
-    visited = 0
-    components = 0
-    start = 1
-    while start <= strands:
-        if (visited >> start) & 1:
-            start += 1
-            continue
-        components += 1
-        pos = start
-        while True:
-            visited |= 1 << pos
-            for idx in range(n_letters):
-                i, sign = letters[idx]
-                if pos != i and pos != i + 1:
-                    continue
-                f = first[idx]
-                keep = (mask >> idx) & 1
-                if f == 0:
-                    first[idx] = pos
-                elif not keep:
-                    if sign > 0:
-                        if f > pos:
-                            return False, 0
-                    elif f < pos:
-                        return False, 0
-                if keep:
-                    pos = i + 1 if pos == i else i
-            if pos == start:
-                break
-    return True, components
-
-
 def is_admissible(p: CircuitPartition) -> bool:
-    return _scan(p.word.strands, p.word.letters, p.mask())[0]
+    """Every removed positive letter is first met with its lower strand
+    number, every removed negative letter with its higher one."""
+    encounters = trace_encounters(p)
+    return all(keep or (first == i) == (sign > 0)
+               for (i, sign), keep, (first, _second) in zip(p.word.letters, p.kept, encounters))
 
 
 def iter_admissible(word: BraidWord, budget: int | None = None):
     """Yield the admissible partitions of a word, masks ascending."""
     _check_budget(word, budget)
     for mask in range(1 << len(word.letters)):
-        if _scan(word.strands, word.letters, mask)[0]:
-            yield CircuitPartition.from_mask(word, mask)
+        p = CircuitPartition.from_mask(word, mask)
+        if is_admissible(p):
+            yield p
 
 
 def _check_budget(word: BraidWord, budget: int | None):
@@ -312,6 +297,88 @@ def _check_budget(word: BraidWord, budget: int | None):
     if len(word.letters) > limit:
         raise EnumerationBudgetError(
             f"word has {len(word.letters)} letters, exceeding the enumeration budget {limit}")
+
+
+def _swapped(q: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return q[:i] + (q[i + 1], q[i]) + q[i + 2:]
+
+
+def _reach_sets(strands: int, letters) -> list[set[tuple[int, ...]]]:
+    """reach[h] holds every arrangement q from which some kept subword of
+    letters[h:] leads to the identity.
+
+    An arrangement lists, for each position (0-indexed), the bottom
+    position where the pass now at that position ends; a kept letter
+    swaps two entries.  reach[0] is the set of permutations that kept
+    subwords of the whole word can produce.
+    """
+    current = {tuple(range(strands))}
+    reach = [current]
+    for i, _sign in reversed(letters):
+        current = current | {_swapped(q, i - 1) for q in current}
+        reach.append(current)
+    reach.reverse()
+    return reach
+
+
+def _trace_order(sigma: tuple[int, ...]) -> tuple[list[int], int]:
+    """Trace rank of every pass, indexed by the bottom position where it
+    ends, and the number of cycles of sigma.
+
+    sigma[t] is the bottom position of the pass started at top position
+    t; the trace follows each cycle of sigma from its smallest unvisited
+    top position.
+    """
+    order = [0] * len(sigma)
+    seen = [False] * len(sigma)
+    rank = cycles = 0
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
+        cycles += 1
+        t = start
+        while not seen[t]:
+            seen[t] = True
+            order[sigma[t]] = rank
+            rank += 1
+            t = sigma[t]
+    return order, cycles
+
+
+def _arrangement_sweep(letters, sigma, order, reach) -> dict[tuple[int, int], int]:
+    """Admissible partitions whose kept letters produce the permutation
+    sigma, counted by (removed letters, parity of removed negative ones).
+
+    The sweep runs top to bottom over arrangements q, starting at sigma
+    and accepting at the identity.  A kept letter swaps the two passes at
+    its positions; a removed letter leaves them in place and is
+    admissible only when the pass at the lower position i is traced
+    first (positive letter) or second (negative letter).  A state
+    survives only while the identity stays reachable.
+    """
+    states = {sigma: {(0, 0): 1}}
+    for h, (i, sign) in enumerate(letters):
+        i -= 1
+        negative = sign < 0
+        ahead = reach[h + 1]
+        nxt: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for q, weights in states.items():
+            kept = _swapped(q, i)
+            if kept in ahead:
+                bucket = nxt.get(kept)
+                if bucket is None:
+                    # Each weight table is read once, so it can be handed on.
+                    nxt[kept] = weights
+                else:
+                    for key, count in weights.items():
+                        bucket[key] = bucket.get(key, 0) + count
+            if q in ahead and (order[q[i]] < order[q[i + 1]]) != negative:
+                bucket = nxt.setdefault(q, {})
+                for (removed, parity), count in weights.items():
+                    key = (removed + 1, parity ^ negative)
+                    bucket[key] = bucket.get(key, 0) + count
+        states = nxt
+    return states.get(tuple(range(len(sigma))), {})
 
 
 @dataclass(frozen=True)
@@ -332,22 +399,17 @@ class HomflyValue:
 
 
 def jaeger_homfly(word: BraidWord, budget: int | None = None) -> HomflyValue:
-    """Evaluate the circuit-partition state sum over all 2^N partitions."""
+    """Evaluate the circuit-partition state sum, one arrangement sweep for
+    every permutation the kept letters can produce."""
     _check_budget(word, budget)
-    letters = word.letters
     strands = word.strands
-    n_letters = len(letters)
-    neg_positions = [idx for idx, (_i, s) in enumerate(letters) if s < 0]
-
+    reach = _reach_sets(strands, word.letters)
     counts: dict[tuple[int, int, int], int] = {}
-    for mask in range(1 << n_letters):
-        ok, components = _scan(strands, letters, mask)
-        if not ok:
-            continue
-        removed = n_letters - bin(mask).count("1")
-        removed_neg = sum(1 for idx in neg_positions if not (mask >> idx) & 1)
-        key = (removed, removed_neg, components)
-        counts[key] = counts.get(key, 0) + 1
+    for sigma in reach[0]:
+        order, components = _trace_order(sigma)
+        for (removed, parity), count in _arrangement_sweep(word.letters, sigma, order, reach).items():
+            key = (removed, parity, components)
+            counts[key] = counts.get(key, 0) + count
 
     circle = unknot_value()
     circle_pow = [LaurentPoly2.one()]
@@ -355,8 +417,8 @@ def jaeger_homfly(word: BraidWord, budget: int | None = None) -> HomflyValue:
         circle_pow.append(circle_pow[-1] * circle)
 
     total = LaurentPoly2.zero()
-    for (removed, removed_neg, components), count in sorted(counts.items()):
-        sign = -1 if removed_neg % 2 else 1
+    for (removed, parity, components), count in sorted(counts.items()):
+        sign = -1 if parity else 1
         term = circle_pow[components].shifted(a_by=strands - components, z_by=removed)
         total = total + term * (sign * count)
     raw = total.shifted(a_by=word.writhe)
@@ -379,28 +441,20 @@ class PinfPositive:
 
 
 def pinf_positive(word: BraidWord, budget: int | None = None) -> PinfPositive:
-    """Enumerate only the partitions that can reach the lowest a-power:
-    kept letters must multiply to the identity permutation."""
+    """Sum only over the partitions that can reach the lowest a-power:
+    kept letters must multiply to the identity permutation, whose trace
+    visits the strands in order."""
     if not word.is_positive():
         raise ValueError("the fast path needs a positive braid word")
     _check_budget(word, budget)
-    letters = word.letters
     strands = word.strands
-    n_letters = len(letters)
-    identity = tuple(range(strands + 1))
+    n_letters = len(word.letters)
+    identity = tuple(range(strands))
     r_max = (word.writhe - strands + closure_components(word)) // 2
     counts = [0] * (r_max + 1)
-    for mask in range(1 << n_letters):
-        kept = bin(mask).count("1")
-        if kept % 2:
-            continue
-        if _partition_permutation(strands, letters, mask) != identity:
-            continue
-        ok, components = _scan(strands, letters, mask)
-        if not ok:
-            continue
-        assert components == strands
-        counts[kept // 2] += 1
+    swept = _arrangement_sweep(word.letters, identity, identity, _reach_sets(strands, word.letters))
+    for (removed, _parity), count in swept.items():
+        counts[(n_letters - removed) // 2] += count
     poly = LaurentPoly1({word.writhe - strands - 2 * r: c for r, c in enumerate(counts) if c})
     return PinfPositive(strands, word.writhe, tuple(counts), poly)
 

@@ -36,9 +36,12 @@ def _budget() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"SEVERI_BUDGET must be an integer, got {raw!r}")
+    if budget < 0:
+        raise ValueError(f"SEVERI_BUDGET must be nonnegative, got {raw!r}")
+    return budget
 
 
 def _parse_coeffs(text: str) -> list[int]:
@@ -53,6 +56,8 @@ def _cmd_series(args) -> int:
         series = staircase_mod.model_series(args.model, args.order)
         coeffs = list(series.coeffs)
     else:
+        if args.order < 0:
+            raise ValueError("truncation order must be nonnegative")
         constraint = staircase_mod.BoxConstraint.for_model(args.model)
         coeffs = [staircase_mod.count_staircases(n, constraint) for n in range(args.order + 1)]
     if args.json:
@@ -177,7 +182,10 @@ def _cmd_conjecture(args) -> int:
         for model in models_mod.catalog():
             reports.append(models_mod.conjecture_check(model, budget))
     elif args.torus:
-        p, q = (int(x) for x in args.torus.split(","))
+        try:
+            p, q = (int(x) for x in args.torus.split(","))
+        except ValueError:
+            raise ValueError(f"--torus expects P,Q (two integers), got {args.torus!r}")
         reports.append(models_mod.conjecture_check(models_mod.torus_model(p, q), budget))
     elif args.type:
         t = staircase_mod.ADEType.parse(args.type)

@@ -192,7 +192,8 @@ class ADEType:
             raise ValueError(f"invalid singularity label {self.family}{self.index}")
         # The Milnor number of each label equals its index; the (delta,
         # branches) table must reproduce it through mu = 2*delta + 1 - b.
-        assert 2 * self.delta + 1 - self.branches == self.index
+        if 2 * self.delta + 1 - self.branches != self.index:
+            raise ValueError(f"{self.name}: delta and branch table breaks mu = 2*delta + 1 - b")
 
     @classmethod
     def parse(cls, label: str) -> "ADEType":

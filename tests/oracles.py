@@ -7,6 +7,7 @@ the implementations they check.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 
 def longdiv_series(numerator: list[int], denominators: list[list[int]], order: int) -> list[int]:
@@ -76,3 +77,54 @@ def independence_profile_bitmask(vertices: int, edges) -> list[int]:
         if ok:
             counts[bin(subset).count("1")] += 1
     return counts
+
+
+def brute_state_sum(strands: int, letters) -> dict[tuple[int, int, int], int]:
+    """Admissible circuit partitions of the closed braid, counted by
+    (removed letters, parity of removed negative letters, components).
+
+    Every one of the 2^N keep/remove masks is traced on its own: start
+    at the smallest unvisited top position, run down the braid (a kept
+    letter (i, s) moves the strand between positions i and i+1), and
+    come back in at the top position where the pass left the bottom.
+    A removed positive letter must be met first at position i, a removed
+    negative letter first at position i + 1.
+    """
+    n_letters = len(letters)
+    table: dict[tuple[int, int, int], int] = {}
+    for mask in range(1 << n_letters):
+        kept = [(mask >> k) & 1 == 1 for k in range(n_letters)]
+        first_met = [0] * n_letters
+        visited = [False] * (strands + 1)
+        components = 0
+        for start in range(1, strands + 1):
+            if visited[start]:
+                continue
+            components += 1
+            pos = start
+            while not visited[pos]:
+                visited[pos] = True
+                for k, (i, _s) in enumerate(letters):
+                    if pos in (i, i + 1):
+                        if first_met[k] == 0:
+                            first_met[k] = pos
+                        if kept[k]:
+                            pos = 2 * i + 1 - pos
+        if all(kept[k] or (first_met[k] == i) == (s > 0) for k, (i, s) in enumerate(letters)):
+            removed = kept.count(False)
+            negatives = sum(1 for k, (_i, s) in enumerate(letters) if not kept[k] and s < 0)
+            key = (removed, negatives % 2, components)
+            table[key] = table.get(key, 0) + 1
+    return table
+
+
+def homfly_from_table(strands: int, writhe: int, table) -> dict[tuple[int, int], int]:
+    """The state sum a^w sum (-1)^parity z^removed a^(n-b) U^b as an
+    {(a exponent, z exponent): coefficient} map, U = (a^-1 - a)/z."""
+    out: dict[tuple[int, int], int] = {}
+    for (removed, parity, b), count in table.items():
+        sign = -count if parity else count
+        for k in range(b + 1):
+            key = (writhe + strands - b + 2 * k - b, removed - b)
+            out[key] = out.get(key, 0) + sign * comb(b, k) * (-1) ** k
+    return {key: c for key, c in out.items() if c}

@@ -18,6 +18,8 @@ from severi.braid import (
 )
 from severi.laurent import LaurentPoly1, LaurentPoly2, lowest_a_part, unknot_value
 
+from oracles import brute_state_sum, homfly_from_table
+
 TREFOIL = parse_braid("1 1 1", 2)
 T34 = parse_braid("(1 2)^4", 3)
 
@@ -140,6 +142,14 @@ def test_all_kept_always_admissible():
         assert is_admissible(CircuitPartition(word, (True,) * len(word)))
 
 
+def test_admissible_partitions_match_oracle():
+    rng = random.Random(11)
+    for _ in range(40):
+        word = random_word(rng, max_len=7)
+        table = brute_state_sum(word.strands, word.letters)
+        assert sum(1 for _ in iter_admissible(word)) == sum(table.values())
+
+
 def test_partition_permutation_and_components():
     p = CircuitPartition(T34, (True,) * 8)
     assert p.components() == 1
@@ -176,6 +186,38 @@ def test_single_crossing_closures_are_unknots():
 def test_left_trefoil_is_mirror():
     left = jaeger_homfly(parse_braid("-1 -1 -1", 2)).normalized
     assert left == LaurentPoly2({(-2, 0): 2, (-2, 2): 1, (-4, 0): -1})
+
+
+def test_state_sum_matches_oracle():
+    rng = random.Random(53)
+    for _ in range(300):
+        strands = rng.randint(1, 6)
+        length = rng.randint(0, 11) if strands > 1 else 0
+        word = BraidWord(strands, tuple((rng.randint(1, strands - 1), rng.choice((1, -1)))
+                                        for _ in range(length)))
+        expected = homfly_from_table(strands, word.writhe, brute_state_sum(strands, word.letters))
+        assert jaeger_homfly(word).multiple_of_unknot.coeffs == expected, word.text()
+
+
+def test_pinf_counts_match_oracle():
+    rng = random.Random(59)
+    for _ in range(300):
+        word = random_word(rng, max_strands=5, max_len=13, positive=True)
+        counts = pinf_positive(word).counts
+        expected = [0] * len(counts)
+        for (removed, _parity, components), count in brute_state_sum(
+                word.strands, word.letters).items():
+            if components == word.strands:
+                expected[(len(word) - removed) // 2] += count
+        assert counts == tuple(expected), word.text()
+
+
+def test_pinf_long_torus_knot():
+    # T(6, 7): 35 letters, far past the default budget; the lowest
+    # coefficient is the rational Catalan number binom(13, 6) / 13.
+    result = pinf_positive(parse_braid("(1 2 3 4 5)^7", 6), budget=48)
+    assert result.counts[0] == 1
+    assert result.poly.coeff(-1) == 132
 
 
 def test_pinf_positive_examples():

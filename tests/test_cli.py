@@ -91,6 +91,11 @@ def test_conjecture_torus(capsys):
     doc = json.loads(out)[0]
     assert doc["pinf"] == [[-1, "5"], [1, "10"], [3, "6"], [5, "1"]]
     assert doc["predicted"] is None
+    # T(5, 6): 24 letters; the lowest coefficient is the rational
+    # Catalan number binom(11, 5) / 11.
+    code, out, _ = run(capsys, "conjecture", "--torus", "5,6", "--json")
+    assert code == 0
+    assert [-1, "42"] in json.loads(out)[0]["pinf"]
 
 
 def test_combine(capsys):
@@ -147,6 +152,14 @@ def test_validation_failures_exit_nonzero(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "conjecture")
     assert code == 1 and "error:" in err
+    for text in ("3", "2,x"):
+        code, out, err = run(capsys, "conjecture", "--torus", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: --torus expects P,Q (two integers), got '{text}'\n"
+    for method in ("closed", "count"):
+        code, out, err = run(capsys, "series", "--model", "A", "--order", "-1", "--method", method)
+        assert (code, out) == (1, "")
+        assert err == "error: truncation order must be nonnegative\n"
 
 
 def test_usage_error_exits_nonzero():
@@ -165,3 +178,6 @@ def test_budget_env_cap(capsys, monkeypatch):
     monkeypatch.setenv("SEVERI_BUDGET", "nope")
     code, _, err = run(capsys, "homfly", "--strands", "2", "--word", "1 1 1")
     assert code == 1 and "SEVERI_BUDGET" in err
+    monkeypatch.setenv("SEVERI_BUDGET", "-3")
+    code, _, err = run(capsys, "pinf", "--strands", "2", "--word", "1 1 1")
+    assert code == 1 and "SEVERI_BUDGET" in err and err.count("\n") == 1

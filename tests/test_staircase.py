@@ -1,5 +1,6 @@
 import pytest
 
+import severi.staircase as staircase_mod
 from severi.staircase import (
     ADEType,
     BoxConstraint,
@@ -91,6 +92,12 @@ def test_delta_branch_table():
         t = ADEType.parse(label)
         assert (t.delta, t.branches) == (delta, branches)
         assert t.milnor == t.index == 2 * t.delta + 1 - t.branches
+
+
+def test_broken_delta_branch_table_raises(monkeypatch):
+    monkeypatch.setitem(staircase_mod._E_DELTA_BRANCHES, 6, (3, 2))
+    with pytest.raises(ValueError, match="mu = 2\\*delta"):
+        ADEType("E", 6)
 
 
 def test_ade_nh_tables():
