@@ -56,14 +56,12 @@ from .models import ConjectureReport, SingularityModel, catalog, conjecture_chec
 from .staircase import (
     ADEType,
     BoxConstraint,
-    Staircase,
     ade_closed_formula,
     ade_closed_vector,
     ade_nh,
     all_types,
     count_staircases,
     germ_data,
-    iter_staircases,
     model_series,
 )
 

@@ -54,12 +54,10 @@ def _parse_coeffs(text: str) -> list[int]:
 def _cmd_series(args) -> int:
     if args.method == "closed":
         series = staircase_mod.model_series(args.model, args.order)
-        coeffs = list(series.coeffs)
     else:
-        if args.order < 0:
-            raise ValueError("truncation order must be nonnegative")
         constraint = staircase_mod.BoxConstraint.for_model(args.model)
-        coeffs = [staircase_mod.count_staircases(n, constraint) for n in range(args.order + 1)]
+        series = staircase_mod.count_staircases(args.order, constraint)
+    coeffs = list(series.coeffs)
     if args.json:
         print(_dumps({"model": args.model, "order": args.order, "method": args.method,
                       "coeffs": coeffs}))
@@ -384,17 +382,20 @@ def _selftest_cases():
 def _cmd_selftest(args) -> int:
     results = []
     for name, fn in _selftest_cases():
+        result = {"name": name}
         try:
-            passed = bool(fn())
-        except Exception:
-            passed = False
-        results.append({"name": name, "pass": passed})
+            result["pass"] = bool(fn())
+        except Exception as exc:
+            result["pass"] = False
+            result["error"] = f"{type(exc).__name__}: {exc}"
+        results.append(result)
     ok = all(r["pass"] for r in results)
     if args.json:
         print(_dumps({"results": results, "ok": ok}))
     else:
         for r in results:
-            print(("PASS  " if r["pass"] else "FAIL  ") + r["name"])
+            reason = f": {r['error']}" if "error" in r else ""
+            print(("PASS  " if r["pass"] else "FAIL  ") + r["name"] + reason)
         print(f"{sum(r['pass'] for r in results)}/{len(results)} checks passed")
     return 0 if ok else 1
 

@@ -95,7 +95,8 @@ def independence_counts(g: SimpleGraph) -> tuple[int, ...]:
 
     def tree_dp(root: int) -> tuple[list[int], list[int]]:
         # Returns (counts with root taken, counts with root free),
-        # computed with an explicit stack to sidestep recursion limits.
+        # computed with an explicit stack to sidestep recursion limits;
+        # a child's tables are dropped once folded into its parent.
         taken: dict[int, list[int]] = {}
         free: dict[int, list[int]] = {}
         stack = [(root, -1, False)]
@@ -113,10 +114,11 @@ def independence_counts(g: SimpleGraph) -> tuple[int, ...]:
                 t, f = [0, 1], [1]
                 for w in adj[v]:
                     if w != parent:
-                        t = _convolve(t, free[w])
-                        f = _convolve(f, _add_padded(taken[w], free[w]))
+                        tw, fw = taken.pop(w), free.pop(w)
+                        t = _convolve(t, fw)
+                        f = _convolve(f, _add_padded(tw, fw))
                 taken[v], free[v] = t, f
-        return taken[root], free[root]
+        return taken.pop(root), free.pop(root)
 
     for v in range(g.vertices):
         if not visited[v]:

@@ -17,10 +17,9 @@ rather than a best-effort answer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly1, TruncatedSeries, one_minus_q_power
+from .laurent import TruncatedSeries, one_minus_q_power
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +110,35 @@ class LocalGermData:
         return 2 * self.delta + 1 - self.branches
 
 
+def _solve(coeffs: tuple[int, ...], top: int, shift: int) -> list[int]:
+    """Back-substitution of sum_d f_d q^d = sum_h n_h q^(top-h) (1-q)^(2h+shift)
+    for n_h, h = top-m .. top, from f_0 .. f_m: the coefficient of q^d
+    pins n_(top-d) once the strata above it are subtracted."""
+    m = len(coeffs) - 1
+    residual = list(coeffs)
+    out = [0] * (m + 1)
+    for d in range(m + 1):
+        c = out[m - d] = residual[d]
+        if c:
+            basis = one_minus_q_power(2 * (top - d) + shift, m - d)
+            for j, bc in enumerate(basis.coeffs):
+                residual[d + j] -= c * bc
+    return out
+
+
+def _assemble(nh: NhVector, top: int, shift: int, order: int) -> TruncatedSeries:
+    """sum_h n_h q^(top-h) (1-q)^(2h+shift) through q^order."""
+    acc = [0] * (order + 1)
+    for h, c in nh.as_map().items():
+        lift = top - h
+        if lift > order:
+            continue
+        basis = one_minus_q_power(2 * h + shift, order - lift)
+        for j, bc in enumerate(basis.coeffs):
+            acc[lift + j] += c * bc
+    return TruncatedSeries(acc)
+
+
 def nh_from_series(series: TruncatedSeries, genus: int) -> NhVector:
     """Solve the global system for n_h from an arbitrary integer series.
 
@@ -124,22 +152,12 @@ def nh_from_series(series: TruncatedSeries, genus: int) -> NhVector:
     if series.order < genus:
         raise ValueError(f"series order {series.order} is below the genus {genus}; "
                          "the transform needs at least one coefficient per stratum")
-    m = series.order
-    residual = list(series.coeffs)
-    out: dict[int, int] = {}
-    for d in range(m + 1):
-        h = genus - d
-        c = residual[d]
-        out[h] = c
-        if c:
-            basis = one_minus_q_power(2 * h - 2, m - d)
-            for j, bc in enumerate(basis.coeffs):
-                residual[d + j] -= c * bc
-    low = genus - m
-    while low < 0 and out[low] == 0:
-        del out[low]
+    values = _solve(series.coeffs, genus, -2)
+    low = genus - series.order
+    while low < 0 and values[0] == 0:
+        values.pop(0)
         low += 1
-    return NhVector("global", low, tuple(out[h] for h in range(low, genus + 1)))
+    return NhVector("global", low, tuple(values))
 
 
 def nh_from_series_global(data: GlobalCurveData) -> NhVector:
@@ -152,29 +170,14 @@ def nh_from_series_local_raw(series: TruncatedSeries, delta: int, branches: int)
         raise ValueError("delta invariant must be nonnegative")
     if series.order < delta:
         raise ValueError(f"series order {series.order} is below delta {delta}")
-    rhs = series.truncate(delta).mul_poly(one_minus_q_poly(branches))
-    residual = list(rhs.coeffs)
-    out = [0] * (delta + 1)
-    for d in range(delta + 1):
-        h = delta - d
-        c = residual[d]
-        out[h] = c
-        if c:
-            basis = one_minus_q_poly(2 * h).coeffs
-            for j in range(delta + 1 - d):
-                residual[d + j] -= c * basis.get(j, 0)
-    return NhVector("local", 0, tuple(out))
+    if branches < 1:
+        raise ValueError("a germ has at least one branch")
+    rhs = series.truncate(delta) * one_minus_q_power(branches, delta)
+    return NhVector("local", 0, tuple(_solve(rhs.coeffs, delta, 0)))
 
 
 def nh_from_series_local(data: LocalGermData) -> NhVector:
     return nh_from_series_local_raw(data.hilb, data.delta, data.branches)
-
-
-def one_minus_q_poly(exponent: int) -> LaurentPoly1:
-    """(1 - q)^exponent as a polynomial, exponent >= 0."""
-    if exponent < 0:
-        raise ValueError("use one_minus_q_power for negative exponents")
-    return LaurentPoly1({d: (-1) ** d * math.comb(exponent, d) for d in range(exponent + 1)})
 
 
 def series_from_nh(nh: NhVector, order: int | None = None, branches: int | None = None) -> TruncatedSeries:
@@ -189,36 +192,12 @@ def series_from_nh(nh: NhVector, order: int | None = None, branches: int | None 
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if nh.kind == "global":
-        g = nh.high
-        acc = [0] * (order + 1)
-        for h in range(nh.low, g + 1):
-            c = nh.n(h)
-            if c == 0:
-                continue
-            shift = g - h
-            if shift > order:
-                continue
-            basis = one_minus_q_power(2 * h - 2, order - shift)
-            for j, bc in enumerate(basis.coeffs):
-                acc[shift + j] += c * bc
-        return TruncatedSeries(acc)
+        return _assemble(nh, nh.high, -2, order)
     if branches is None:
         raise ValueError("a local vector needs the branch count to rebuild its series")
-    delta = nh.high
-    acc = [0] * (order + 1)
-    for h in range(delta + 1):
-        c = nh.n(h)
-        if c == 0:
-            continue
-        shift = delta - h
-        if shift > order:
-            continue
-        for j, bc in one_minus_q_poly(2 * h).coeffs.items():
-            if shift + j <= order:
-                acc[shift + j] += c * bc
-    numerator = TruncatedSeries(acc)
-    inv = one_minus_q_power(-branches, order)
-    return numerator * inv
+    if branches < 1:
+        raise ValueError("a germ has at least one branch")
+    return _assemble(nh, nh.high, 0, order) * one_minus_q_power(-branches, order)
 
 
 def combine_local(geometric_genus: int, locals_: list[NhVector]) -> NhVector:
@@ -312,5 +291,5 @@ def identity_checks(data: GlobalCurveData, topological_euler: int) -> dict:
 def local_degree_bound_ok(data: LocalGermData) -> bool:
     """(1-q)^b times the germ series must be a polynomial of degree at
     most 2*delta; verified through the order the series carries."""
-    poly = data.hilb.mul_poly(one_minus_q_poly(data.branches))
+    poly = data.hilb * one_minus_q_power(data.branches, data.hilb.order)
     return all(c == 0 for c in poly.coeffs[2 * data.delta + 1:])

@@ -363,16 +363,6 @@ class TruncatedSeries:
                 out[d1 + d2] += c1 * other.coeffs[d2]
         return TruncatedSeries(out)
 
-    def mul_poly(self, p: LaurentPoly1) -> "TruncatedSeries":
-        """Multiply by a polynomial with nonnegative exponents, keeping the order."""
-        if p.coeffs and p.valuation() < 0:
-            raise ValueError("series multiplication needs a polynomial without negative exponents")
-        out = [0] * (self.order + 1)
-        for e, c in p.coeffs.items():
-            for d in range(self.order + 1 - e):
-                out[d + e] += c * self.coeffs[d]
-        return TruncatedSeries(out)
-
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -16,7 +16,10 @@ The three non-reduced model curves and their forbidden boxes:
     y^3  = 0  ->  (0, 3)    at most three rows
 
 Counting staircases of each size gives the Euler numbers of their
-punctual Hilbert schemes; the same numbers come from the closed forms
+punctual Hilbert schemes.  count_staircases fills every size up to the
+truncation order in one iterative pass over the row-length bound, in
+O((R + 1) * order^2) time and O((R + 1) * order) memory, where R is the
+highest forbidden row.  The same numbers come from the closed forms
 
     y^2:  1/((1-q)(1-q^2))
     xy^2: (1-q+q^3)/((1-q)^2 (1-q^2))
@@ -40,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .genus_transform import LocalGermData, NhVector, nh_from_series_local
 from .laurent import LaurentPoly1, TruncatedSeries, expand_rational
@@ -54,27 +56,6 @@ _E_TABLE = {
     7: (2, 11, 15, 7, 1),
     8: (7, 21, 21, 8, 1),
 }
-
-
-@dataclass(frozen=True)
-class Staircase:
-    """Row lengths of a Young diagram, weakly decreasing and positive."""
-
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        for i, r in enumerate(self.rows):
-            if r < 1:
-                raise ValueError("row lengths must be positive")
-            if i > 0 and r > self.rows[i - 1]:
-                raise ValueError("row lengths must weakly decrease")
-
-    @property
-    def size(self) -> int:
-        return sum(self.rows)
-
-    def contains(self, col: int, row: int) -> bool:
-        return 0 <= row < len(self.rows) and 0 <= col < self.rows[row]
 
 
 @dataclass(frozen=True)
@@ -100,62 +81,33 @@ class BoxConstraint:
         caps = [a for a, b in self.forbidden if b <= row]
         return min(caps) if caps else None
 
-    def admits(self, s: Staircase) -> bool:
-        return not any(s.contains(a, b) for a, b in self.forbidden)
 
+def count_staircases(order: int, constraint: BoxConstraint) -> TruncatedSeries:
+    """Numbers of staircases of each size 0..order avoiding the forbidden
+    boxes, in one pass that raises the row-length bound L = 1..order.
 
-def count_staircases(n: int, constraint: BoxConstraint) -> int:
-    """Number of staircases of size n avoiding the forbidden boxes,
-    by depth-first search over row lengths with monotonicity pruning."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    max_row = max((b for _, b in constraint.forbidden), default=0)
-
-    def rec(remaining: int, row: int, prev: int) -> int:
-        if remaining == 0:
-            return 1
-        cap = constraint.cap_at(row)
-        limit = min(remaining, prev if prev else remaining)
-        if cap is not None:
-            limit = min(limit, cap)
-        if limit == 0:
-            return 0
-        # Past the last constrained row the count only depends on
-        # (remaining, limit), which keeps the memo small.
-        key = (remaining, min(row, max_row), limit)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for length in range(1, limit + 1):
-            total += rec(remaining - length, row + 1, length)
-        memo[key] = total
-        return total
-
-    memo: dict[tuple[int, int, int], int] = {}
-    return rec(n, 0, 0)
-
-
-def iter_staircases(n: int, constraint: BoxConstraint) -> Iterator[Staircase]:
-    """Yield the staircases counted by count_staircases, longest first row
-    first; used as the enumeration side of cross-checks."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-
-    def rec(remaining: int, row: int, prev: int, acc: list[int]):
-        if remaining == 0:
-            yield Staircase(tuple(acc))
-            return
-        cap = constraint.cap_at(row)
-        limit = min(remaining, prev if prev else remaining)
-        if cap is not None:
-            limit = min(limit, cap)
-        for length in range(limit, 0, -1):
-            acc.append(length)
-            yield from rec(remaining - length, row + 1, length, acc)
-            acc.pop()
-
-    yield from rec(n, 0, 0, [])
+    Let last be the highest forbidden row.  tables[r] counts, by size,
+    the fillings of rows r, r+1, ... whose rows have length at most L;
+    rows from last on share the cap cap_at(last) and can repeat, so
+    tables[last] covers all of them.  Raising the bound to L adds, bottom
+    table first, the fillings whose top row has length exactly L: q^L
+    times the table of the next row, which for tables[last] is
+    tables[last] itself.  Time is O((last + 1) * order^2) and memory
+    O((last + 1) * order).
+    """
+    if order < 0:
+        raise ValueError("truncation order must be nonnegative")
+    last = max((b for _, b in constraint.forbidden), default=0)
+    caps = [constraint.cap_at(r) for r in range(last + 1)]
+    tables = [[1] + [0] * order for _ in range(last + 1)]
+    for length in range(1, order + 1):
+        for r in range(last, -1, -1):
+            if caps[r] is not None and length > caps[r]:
+                continue
+            table, below = tables[r], tables[min(r + 1, last)]
+            for d in range(length, order + 1):
+                table[d] += below[d - length]
+    return TruncatedSeries(tables[0])
 
 
 def model_series(family: str, order: int) -> TruncatedSeries:

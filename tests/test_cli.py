@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import severi.cli as cli_mod
 from severi.cli import main
 
 
@@ -38,13 +39,15 @@ def test_transform_global_json(capsys):
 
 
 def test_series_both_methods_agree(capsys):
-    code, closed, _ = run(capsys, "series", "--model", "D", "--order", "12", "--json")
-    assert code == 0
-    code, counted, _ = run(capsys, "series", "--model", "D", "--order", "12",
-                           "--method", "count", "--json")
-    assert code == 0
-    assert json.loads(closed)["coeffs"] == json.loads(counted)["coeffs"]
-    assert json.loads(closed)["coeffs"][:6] == [1, 1, 2, 3, 5, 7]
+    # order 1100 once overflowed the interpreter stack in the count route
+    for order in ("12", "1100"):
+        code, closed, _ = run(capsys, "series", "--model", "D", "--order", order, "--json")
+        assert code == 0
+        code, counted, _ = run(capsys, "series", "--model", "D", "--order", order,
+                               "--method", "count", "--json")
+        assert code == 0
+        assert json.loads(closed)["coeffs"] == json.loads(counted)["coeffs"]
+        assert json.loads(closed)["coeffs"][:6] == [1, 1, 2, 3, 5, 7]
 
 
 def test_dynkin_json(capsys):
@@ -132,6 +135,28 @@ def test_selftest_json(capsys):
     assert all(r["pass"] for r in doc["results"])
 
 
+def test_selftest_names_the_exception(capsys, monkeypatch):
+    cases = cli_mod._selftest_cases()
+
+    def broken():
+        raise ValueError("broken on purpose")
+
+    cases[1] = (cases[1][0], broken)
+    monkeypatch.setattr(cli_mod, "_selftest_cases", lambda: cases)
+    code, out, _ = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[1] == f"FAIL  {cases[1][0]}: ValueError: broken on purpose"
+    assert lines[0] == f"PASS  {cases[0][0]}"
+    assert lines[-1] == f"{len(cases) - 1}/{len(cases)} checks passed"
+    code, out, _ = run(capsys, "selftest", "--json")
+    doc = json.loads(out)
+    assert code == 1 and doc["ok"] is False
+    assert doc["results"][1] == {"name": cases[1][0], "pass": False,
+                                 "error": "ValueError: broken on purpose"}
+    assert all("error" not in r for i, r in enumerate(doc["results"]) if i != 1)
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "homfly", "--strands", "3", "--word", "(1 2)^4", "--json")
     second = run(capsys, "homfly", "--strands", "3", "--word", "(1 2)^4", "--json")
@@ -160,6 +185,11 @@ def test_validation_failures_exit_nonzero(capsys):
         code, out, err = run(capsys, "series", "--model", "A", "--order", "-1", "--method", method)
         assert (code, out) == (1, "")
         assert err == "error: truncation order must be nonnegative\n"
+    for branches in ("0", "-1"):
+        code, out, err = run(capsys, "transform", "--local", "--delta", "2",
+                             "--branches", branches, "--coeffs", "1,1,2")
+        assert (code, out) == (1, "")
+        assert err == "error: a germ has at least one branch\n"
 
 
 def test_usage_error_exits_nonzero():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from severi.genus_transform import (
     GlobalCurveData,
@@ -128,6 +129,23 @@ def test_round_trip_random_series():
         assert series_from_nh(nh, order) == series
 
 
+@given(st.integers(0, 8), st.lists(st.integers(-50, 50), min_size=1, max_size=13),
+       st.integers(0, 3))
+def test_global_vector_round_trip(genus, values, extra):
+    # the vector may reach below h = 0, as arbitrary series make it do
+    nh = NhVector("global", genus + 1 - len(values), tuple(values))
+    order = max(genus - nh.low, genus) + extra
+    assert nh_from_series(series_from_nh(nh, order), nh.high) == nh
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.integers(1, 5),
+       st.integers(0, 3))
+def test_local_vector_round_trip(values, branches, extra):
+    nh = NhVector("local", 0, tuple(values))
+    series = series_from_nh(nh, nh.high + extra, branches)
+    assert nh_from_series_local_raw(series, nh.high, branches).values == nh.values
+
+
 def test_triangularity():
     rng = random.Random(55)
     for _ in range(200):
@@ -228,5 +246,10 @@ def test_data_validation():
         GlobalCurveData(2, 0, TruncatedSeries((2, 1, 1)))
     with pytest.raises(ValueError):
         LocalGermData(1, 0, TruncatedSeries((1, 1)))
+    for branches in (0, -1):
+        with pytest.raises(ValueError, match="a germ has at least one branch"):
+            nh_from_series_local_raw(TruncatedSeries((1, 1, 2)), 2, branches)
+        with pytest.raises(ValueError, match="a germ has at least one branch"):
+            series_from_nh(CUSP, 3, branches)
     assert LocalGermData(1, 2, TruncatedSeries((1, 1))).milnor == 1
     assert LocalGermData(1, 1, TruncatedSeries((1, 1))).milnor == 2
